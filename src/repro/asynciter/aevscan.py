@@ -53,11 +53,9 @@ class AEVScan(Operator):
         ]
         calls = [self.instance.make_call(resolved) for resolved in resolved_list]
         register_batch = getattr(self.context, "register_batch", None)
-        if len(calls) > 1 and callable(register_batch):
+        if callable(register_batch):
             call_ids = register_batch(calls)
         else:
-            # Degenerate single-binding batch: keep the seed's exact
-            # registration schedule (and trace shape).
             call_ids = [self.context.register(call) for call in calls]
         self.calls_registered += len(call_ids)
         if len(call_ids) > 1:

@@ -14,6 +14,15 @@ reuses the first call id instead of hitting the network again.  A result
 cache cannot catch these (the first call has not completed when the
 duplicates arrive); deduplication here is what removes them.  Results are
 lease-counted so every registrant can consume them.
+
+A call the result cache *can* answer never reaches the pump: after
+deduplication, registration probes the cache on the query thread (inside
+the query's cache scope) and stores a hit — or a replayed negatively
+cached failure — straight into the result dicts under a context-local
+negative call id.  The consuming ReqSync patches its placeholders exactly
+as for a pump completion, so a warm cache costs the same in asynchronous
+and sequential mode.  Only misses pay the loop hand-off and a pump slot,
+and their coroutines skip a second cache read.
 """
 
 import threading
@@ -49,48 +58,40 @@ class AsyncContext:
         self._leases = {}  # call_id -> outstanding take_result count
         self._dest_of = {}  # call_id -> destination (for diagnostics)
         self.dedup_hits = 0
+        #: Registrations that were not deduplicated: pump calls plus
+        #: inline cache hits.
         self.calls_registered = 0
+        #: Registrations resolved from the result cache at registration.
+        self.inline_hits = 0
+        self._next_inline_id = 0  # inline hits count down: -1, -2, ...
         self.call_errors = 0  # errors observed by take_result
 
-    # -- producer side (pump thread) --------------------------------------------
+    # -- producer side -------------------------------------------------------------
 
     def register(self, call):
-        """Launch *call* through the pump (or reuse an identical in-flight
-        call when deduplication applies); returns the call id."""
-        if self.dedup and call.key is not None:
-            existing = self._by_key.get(call.key)
-            if existing is not None:
-                self._reuse_inflight(existing, call)
-                return existing
-        call_id = self.pump.register(
-            call, self._on_complete, query_id=self.query_id,
-            **self._deadline_kwargs()
-        )
-        self.calls_registered += 1
-        with self._cond:
-            self._leases[call_id] = 1
-            self._dest_of[call_id] = call.destination
-        if self.dedup and call.key is not None:
-            self._by_key[call.key] = call_id
-            self._key_of[call_id] = call.key
-        return call_id
+        """Launch *call* (or reuse an identical in-flight call when
+        deduplication applies, or resolve it from the result cache);
+        returns the call id."""
+        return self.register_batch((call,))[0]
 
     def register_batch(self, calls):
         """Register many calls in one go; returns their call ids in order.
 
-        Deduplication applies exactly as in :meth:`register`, both
-        against already in-flight calls and *within* the batch (the
-        paper's Figure 7 workload sends many identical searches per
-        batch); only novel calls reach the pump, in one burst via
+        Deduplication applies both against already in-flight calls and
+        *within* the batch (the paper's Figure 7 workload sends many
+        identical searches per batch).  Each novel call then probes its
+        result cache here, on the query thread: a hit (or a replayed
+        negatively cached failure) completes inline under a
+        context-local negative call id, with no pump task, loop hand-off
+        or concurrency slot.  Only misses reach the pump — one call via
+        ``pump.register``, several in one burst via
         ``pump.register_batch`` when available.
         """
         calls = list(calls)
-        if not calls:
-            return []
         call_ids = [None] * len(calls)
         fresh = []  # (position, call) pairs that must reach the pump
         dup_of = []  # (position, anchor position) intra-batch duplicates
-        batch_anchor = {}  # call.key -> position of first fresh call
+        batch_anchor = {}  # call.key -> position of first novel call
         for position, call in enumerate(calls):
             key = call.key
             if self.dedup and key is not None:
@@ -104,39 +105,66 @@ class AsyncContext:
                     dup_of.append((position, anchor))
                     continue
                 batch_anchor[key] = position
-            fresh.append((position, call))
-        if fresh:
-            fresh_calls = [call for _, call in fresh]
-            pump_batch = getattr(self.pump, "register_batch", None)
-            if callable(pump_batch):
-                new_ids = pump_batch(
-                    fresh_calls, self._on_complete, query_id=self.query_id,
-                    **self._deadline_kwargs()
-                )
+            try:
+                rows = call.probe_cache()
+            except Exception as exc:  # noqa: BLE001 - a replayed failure
+                call_ids[position] = self._complete_inline(call, None, exc)
+                continue
+            if rows is not None:
+                call_ids[position] = self._complete_inline(call, rows, None)
             else:
-                new_ids = [
-                    self.pump.register(
-                        c, self._on_complete, query_id=self.query_id,
-                        **self._deadline_kwargs()
-                    )
-                    for c in fresh_calls
-                ]
+                fresh.append((position, call))
+        if fresh:
+            new_ids = self._launch([call for _, call in fresh])
             self.calls_registered += len(new_ids)
             with self._cond:
                 for (position, call), call_id in zip(fresh, new_ids):
                     call_ids[position] = call_id
                     self._leases[call_id] = 1
                     self._dest_of[call_id] = call.destination
-            if self.dedup:
-                for (position, call), call_id in zip(fresh, new_ids):
-                    if call.key is not None:
-                        self._by_key[call.key] = call_id
-                        self._key_of[call_id] = call.key
+            for (_, call), call_id in zip(fresh, new_ids):
+                self._track_key(call, call_id)
         for position, anchor in dup_of:
             call_id = call_ids[anchor]
             self._reuse_inflight(call_id, calls[position])
             call_ids[position] = call_id
         return call_ids
+
+    def _launch(self, calls):
+        """Hand cache misses to the pump; returns their pump call ids."""
+        kwargs = self._deadline_kwargs()
+        pump_batch = getattr(self.pump, "register_batch", None)
+        if len(calls) > 1 and callable(pump_batch):
+            return pump_batch(
+                calls, self._on_complete, query_id=self.query_id, **kwargs
+            )
+        return [
+            self.pump.register(
+                call, self._on_complete, query_id=self.query_id, **kwargs
+            )
+            for call in calls
+        ]
+
+    def _complete_inline(self, call, rows, error):
+        """Store a cache-resolved outcome under a fresh negative call id."""
+        self._next_inline_id -= 1
+        call_id = self._next_inline_id
+        with self._cond:
+            if error is not None:
+                self._errors[call_id] = error
+            else:
+                self._results[call_id] = rows
+            self._leases[call_id] = 1
+            self._dest_of[call_id] = call.destination
+        self._track_key(call, call_id)
+        self.calls_registered += 1
+        self.inline_hits += 1
+        return call_id
+
+    def _track_key(self, call, call_id):
+        if self.dedup and call.key is not None:
+            self._by_key[call.key] = call_id
+            self._key_of[call_id] = call.key
 
     def _deadline_kwargs(self):
         # Only pass the kwarg when a deadline exists, so pump doubles
@@ -247,9 +275,13 @@ class AsyncContext:
             return rows
 
     def cancel(self, call_ids):
-        """Best-effort cancellation (used when a plan closes early)."""
+        """Best-effort cancellation (used when a plan closes early).
+
+        Inline cache hits (negative ids) never reached the pump.
+        """
         for cid in call_ids:
-            self.pump.cancel(cid)
+            if cid >= 0:
+                self.pump.cancel(cid)
 
     def destination_of(self, call_id):
         """The destination *call_id* was registered against (or None)."""
@@ -264,6 +296,7 @@ class AsyncContext:
     def stats(self):
         return {
             "calls_registered": self.calls_registered,
+            "inline_hits": self.inline_hits,
             "dedup_hits": self.dedup_hits,
             "call_errors": self.call_errors,
         }

@@ -377,35 +377,34 @@ class RequestPump:
         already-expired deadline fails the call fast with
         :class:`QueryDeadlineExceeded` before it can occupy a pump slot.
         """
-        self.ensure_started()
-        with self._lock:
-            if self._loop is None:
-                raise ExecutionError("request pump is shut down")
-            call_id = self._next_call_id
-            self._next_call_id += 1
-            loop = self._loop
-        registered_at = self.clock.now()
-        self._launch(
-            call, call_id, on_complete, query_id, loop, registered_at,
-            deadline=deadline,
-        )
-        return call_id
+        return self._register((call,), on_complete, query_id, deadline)[0]
 
     def register_batch(self, calls, on_complete, query_id=None, deadline=None):
         """Register many calls in one go; returns their call ids in order.
 
         The batched counterpart of :meth:`register` for vectorized scans:
-        ids are allocated under a single lock acquisition and the call
-        coroutines are submitted to the loop back-to-back, so a whole
-        batch of external requests enters the event loop in one burst —
-        the pump can saturate its concurrency limits within one consumer
-        round trip instead of one registration per produced tuple.
-        Per-call semantics (tracing, stats, settlement) are identical to
-        :meth:`register`.
+        ids are allocated under a single lock acquisition and the whole
+        batch is handed to the loop in one ``call_soon_threadsafe`` (one
+        self-pipe write), so a batch of external requests enters the
+        event loop in one burst — the pump can saturate its concurrency
+        limits within one consumer round trip instead of one
+        registration per produced tuple.  Per-call semantics (tracing,
+        stats, settlement) are identical to :meth:`register`.
         """
         calls = list(calls)
         if not calls:
             return []
+        return self._register(
+            calls, on_complete, query_id, deadline, batch=len(calls)
+        )
+
+    def _register(self, calls, on_complete, query_id, deadline, batch=None):
+        """Allocate ids, wire every call, then start them on the loop.
+
+        Each call's settlement future is stored (under
+        ``_futures_lock``) before the loop can run anything, and the
+        tasks are created by a single loop callback, :meth:`_start`.
+        """
         self.ensure_started()
         with self._lock:
             if self._loop is None:
@@ -414,6 +413,7 @@ class RequestPump:
             self._next_call_id += len(calls)
             loop = self._loop
         registered_at = self.clock.now()
+        starts = []  # (future, call_id, call, on_complete) for _start
         call_ids = []
         for offset, call in enumerate(calls):
             call_id = first_id + offset
@@ -422,12 +422,14 @@ class RequestPump:
                 call_id,
                 on_complete,
                 query_id,
-                loop,
                 registered_at,
-                batch=len(calls),
+                starts,
+                batch=batch,
                 deadline=deadline,
             )
             call_ids.append(call_id)
+        if starts:
+            loop.call_soon_threadsafe(self._start, loop, starts)
         return call_ids
 
     def _launch(
@@ -436,18 +438,19 @@ class RequestPump:
         call_id,
         on_complete,
         query_id,
-        loop,
         registered_at,
+        starts,
         batch=None,
         deadline=None,
     ):
         """Common registration tail: stats, trace, and task/flight wiring.
 
         With single-flight off (or a keyless call) this is exactly the
-        historical path: one coroutine per registration, the coroutine's
-        future doubling as the settlement future.  With single-flight on,
+        historical path: one coroutine per registration, its outcome
+        copied into the call's settlement future.  With single-flight on,
         registration routes through :meth:`_register_flight`, which
         either launches a new :class:`_Flight` or joins an existing one.
+        A call that needs a task appends its start entry to *starts*.
         """
         destination = call.destination
         self.stats.bump(destination, "registered")
@@ -469,7 +472,7 @@ class RequestPump:
             )
         if self.single_flight and call.key is not None:
             self._register_flight(
-                call, call_id, on_complete, query_id, loop, registered_at,
+                call, call_id, on_complete, query_id, registered_at, starts,
                 deadline=deadline,
             )
             return
@@ -477,22 +480,34 @@ class RequestPump:
         # settle the call*: the settlement callback (attached below)
         # performs the pop, so a fast completion can no longer race the
         # assignment and leak the entry.
+        future = concurrent.futures.Future()
         with self._futures_lock:
             self._timings[call_id] = _CallTiming(
                 registered_at, query_id, deadline
-            )
-            future = asyncio.run_coroutine_threadsafe(
-                self._run_call(call_id, call, on_complete), loop
             )
             self._futures[call_id] = future
         future.add_done_callback(
             lambda fut: self._settle(call_id, destination, fut)
         )
+        starts.append((future, call_id, call, on_complete))
+
+    def _start(self, loop, starts):
+        """Loop-thread half of registration: one task per live call.
+
+        A future cancelled before the loop reached it was already
+        settled (as cancelled) by its done callback; its coroutine is
+        never created.
+        """
+        for future, call_id, call, on_complete in starts:
+            if future.cancelled():
+                continue
+            task = loop.create_task(self._run_call(call_id, call, on_complete))
+            _chain(task, future, loop)
 
     # -- single-flight coalescing -----------------------------------------------
 
     def _register_flight(
-        self, call, call_id, on_complete, query_id, loop, registered_at,
+        self, call, call_id, on_complete, query_id, registered_at, starts,
         deadline=None,
     ):
         """Join the live flight for ``call.key``, or anchor a new one.
@@ -522,9 +537,14 @@ class RequestPump:
                 flight.members[call_id] = on_complete
                 self._flights[key] = flight
                 self._members[call_id] = flight
-                flight.task_future = asyncio.run_coroutine_threadsafe(
-                    self._run_call(call_id, call, self._flight_deliver(flight)),
-                    loop,
+                flight.task_future = concurrent.futures.Future()
+                starts.append(
+                    (
+                        flight.task_future,
+                        call_id,
+                        call,
+                        self._flight_deliver(flight),
+                    )
                 )
         member_future.add_done_callback(
             lambda fut, cid=call_id, dest=destination: self._settle(cid, dest, fut)
@@ -982,6 +1002,35 @@ class RequestPump:
             sem = asyncio.Semaphore(limit)
             self._dest_sems[destination] = sem
         return sem
+
+
+def _chain(task, future, loop):
+    """Link a loop *task* to its thread-safe settlement *future*.
+
+    The wiring ``asyncio.run_coroutine_threadsafe`` does: the task's
+    outcome is copied into *future*, and cancelling *future* (from any
+    thread) cancels the task.  *future* stays pending while the task
+    runs, so ``future.cancel()`` succeeds until the outcome lands.
+    """
+
+    def cancel_task(settled):
+        if settled.cancelled():
+            loop.call_soon_threadsafe(task.cancel)
+
+    def copy_outcome(done):
+        if done.cancelled():
+            future.cancel()
+            return
+        if not future.set_running_or_notify_cancel():
+            return  # cancelled first: already settled
+        error = done.exception()
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(done.result())
+
+    future.add_done_callback(cancel_task)
+    task.add_done_callback(copy_outcome)
 
 
 class _maybe:

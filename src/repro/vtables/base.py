@@ -25,6 +25,7 @@ Results are normalized to a list of field dicts, so the synchronous
 """
 
 import inspect
+from types import FunctionType
 
 from repro.relational.placeholder import Placeholder
 from repro.relational.schema import Schema
@@ -42,33 +43,90 @@ class ExternalCall:
     stays a stable function of ``(destination, request, attempt)``.
     Zero-argument factories (pre-resilience call sites, tests) still
     work: the attempt is simply not forwarded.
+
+    ``probe`` optionally reads the call's answer from a result cache: a
+    zero-argument callable returning the result rows, ``None`` on a
+    miss, or raising the replayed error of a negatively cached failure.
+    The asynchronous path runs it on the query thread at registration
+    (see :meth:`probe_cache`), so a hit never reaches the request pump.
+    A call with a probe must have an ``async_factory(attempt, lookup)``:
+    after a missed probe it is called with ``lookup=False`` and skips its
+    own cache read, so every call reads the cache exactly once.
     """
 
-    __slots__ = ("key", "destination", "_sync_fn", "_async_factory", "_takes_attempt")
+    __slots__ = (
+        "key",
+        "destination",
+        "_sync_fn",
+        "_async_factory",
+        "_takes_attempt",
+        "_probe",
+        "_probed",
+    )
 
-    def __init__(self, key, destination, sync_fn, async_factory):
+    def __init__(self, key, destination, sync_fn, async_factory, probe=None):
         self.key = key
         self.destination = destination
         self._sync_fn = sync_fn
         self._async_factory = async_factory
-        try:
-            parameters = inspect.signature(async_factory).parameters
-            self._takes_attempt = len(parameters) >= 1
-        except (TypeError, ValueError):  # builtins / exotic callables
-            self._takes_attempt = False
+        self._takes_attempt = _takes_attempt(async_factory)
+        self._probe = probe
+        self._probed = False
 
     def execute_sync(self):
         """Blocking execution; returns a list of result-field dicts."""
         return self._sync_fn()
 
+    def probe_cache(self):
+        """Cached result rows, or ``None`` on a miss or without a probe.
+
+        A negatively cached failure raises its replayed error.  After a
+        miss, :meth:`execute_async` skips the factory's own lookup.
+        """
+        if self._probe is None:
+            return None
+        rows = self._probe()
+        if rows is None:
+            self._probed = True
+        return rows
+
     def execute_async(self, attempt=0):
         """Return a coroutine producing the list of result-field dicts."""
+        if self._probed:
+            return self._async_factory(attempt, lookup=False)
         if self._takes_attempt:
             return self._async_factory(attempt)
         return self._async_factory()
 
     def __repr__(self):
         return "ExternalCall({} -> {})".format(self.key, self.destination)
+
+
+#: Attempt-arity per plain-function code object: a vtable's factory
+#: lambda is one code object however many calls it makes, so the
+#: ``inspect`` work runs once per call site instead of once per call.
+_ATTEMPT_ARITY = {}
+
+
+def _takes_attempt(factory):
+    """True when *factory* accepts at least one (attempt) argument."""
+    # Only plain functions are memoized: a bound method shares its
+    # function's code but drops ``self``, and a ``functools.wraps``
+    # wrapper (non-empty ``__dict__``) reports the wrapped signature.
+    if type(factory) is FunctionType and not factory.__dict__:
+        code = factory.__code__
+        takes = _ATTEMPT_ARITY.get(code)
+        if takes is None:
+            takes = _ATTEMPT_ARITY[code] = _signature_takes_attempt(factory)
+        return takes
+    return _signature_takes_attempt(factory)
+
+
+def _signature_takes_attempt(factory):
+    try:
+        return len(inspect.signature(factory).parameters) >= 1
+    except (TypeError, ValueError):  # builtins / exotic callables
+        return False
 
 
 class VirtualTableDef:

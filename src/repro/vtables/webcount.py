@@ -68,9 +68,21 @@ class WebCountInstance(VTableInstance):
             key=("count", client.name, expr_text),
             destination=client.name,
             sync_fn=lambda: [{"count": client.count(expr_text)}],
-            async_factory=lambda attempt=0: _count_async(client, expr_text, attempt),
+            async_factory=lambda attempt=0, lookup=True: _count_async(
+                client, expr_text, attempt, lookup
+            ),
+            probe=(
+                (lambda: _count_rows(client.cached_count(expr_text)))
+                if client.cache is not None
+                else None
+            ),
         )
 
 
-async def _count_async(client, expr_text, attempt=0):
-    return [{"count": await client.count_async(expr_text, attempt=attempt)}]
+def _count_rows(count):
+    return None if count is None else [{"count": count}]
+
+
+async def _count_async(client, expr_text, attempt=0, lookup=True):
+    count = await client.count_async(expr_text, attempt=attempt, lookup=lookup)
+    return [{"count": count}]

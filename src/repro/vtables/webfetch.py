@@ -66,8 +66,27 @@ class WebFetchInstance(VTableInstance):
             key=("fetch", url),
             destination="fetch",
             sync_fn=lambda: [_fetch_row(service.fetch(url))],
-            async_factory=lambda: _fetch_async(service, url),
+            async_factory=lambda attempt=0, lookup=True: _fetch_async(
+                service, url, lookup
+            ),
+            probe=_probe(service, url, _fetch_rows),
         )
+
+
+def _probe(service, url, to_rows):
+    """The query-thread cache probe for a fetch-backed call (or None)."""
+    if service.cache is None:
+        return None
+
+    def probe():
+        result = service.cached(url)
+        return None if result is None else to_rows(result)
+
+    return probe
+
+
+def _fetch_rows(result):
+    return [_fetch_row(result)]
 
 
 def _fetch_row(result):
@@ -79,8 +98,8 @@ def _fetch_row(result):
     }
 
 
-async def _fetch_async(service, url):
-    return [_fetch_row(await service.fetch_async(url))]
+async def _fetch_async(service, url, lookup=True):
+    return _fetch_rows(await service.fetch_async(url, lookup=lookup))
 
 
 class WebLinksDef(VirtualTableDef):
@@ -125,7 +144,10 @@ class WebLinksInstance(VTableInstance):
             key=("links", url),
             destination="fetch",
             sync_fn=lambda: _link_rows(service.fetch(url)),
-            async_factory=lambda: _links_async(service, url),
+            async_factory=lambda attempt=0, lookup=True: _links_async(
+                service, url, lookup
+            ),
+            probe=_probe(service, url, _link_rows),
         )
 
 
@@ -136,5 +158,5 @@ def _link_rows(result):
     ]
 
 
-async def _links_async(service, url):
-    return _link_rows(await service.fetch_async(url))
+async def _links_async(service, url, lookup=True):
+    return _link_rows(await service.fetch_async(url, lookup=lookup))

@@ -78,8 +78,13 @@ class WebPagesInstance(VTableInstance):
             key=("search", client.name, expr_text, limit),
             destination=client.name,
             sync_fn=lambda: _hit_rows(client.search(expr_text, limit)),
-            async_factory=lambda attempt=0: _search_async(
-                client, expr_text, limit, attempt
+            async_factory=lambda attempt=0, lookup=True: _search_async(
+                client, expr_text, limit, attempt, lookup
+            ),
+            probe=(
+                (lambda: _cached_rows(client.cached_search(expr_text, limit)))
+                if client.cache is not None
+                else None
             ),
         )
 
@@ -88,5 +93,12 @@ def _hit_rows(hits):
     return [{"url": h.url, "rank": h.rank, "date": h.date} for h in hits]
 
 
-async def _search_async(client, expr_text, limit, attempt=0):
-    return _hit_rows(await client.search_async(expr_text, limit, attempt=attempt))
+def _cached_rows(hits):
+    return None if hits is None else _hit_rows(hits)
+
+
+async def _search_async(client, expr_text, limit, attempt=0, lookup=True):
+    hits = await client.search_async(
+        expr_text, limit, attempt=attempt, lookup=lookup
+    )
+    return _hit_rows(hits)

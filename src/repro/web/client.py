@@ -120,24 +120,30 @@ class SearchClient:
 
     # -- asynchronous (request pump) -------------------------------------------
 
-    async def count_async(self, expr_text, attempt=0):
-        """One *attempt* of an asynchronous count (the pump retries)."""
+    async def count_async(self, expr_text, attempt=0, lookup=True):
+        """One *attempt* of an asynchronous count (the pump retries).
+
+        ``lookup=False`` skips the cache read: the caller already probed
+        the cache on the query thread (:meth:`cached_count`) and missed.
+        """
         key = ResultCache.key(self.engine.name, "count", expr_text)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+        if lookup:
+            cached = self._cache_get(key)
+            if cached is not None:
+                return cached
         await self._fault_gate_async(expr_text, attempt)
         await self._async_sleep(expr_text)
         result = self.engine.count(expr_text)
         self._cache_put(key, result)
         return result
 
-    async def search_async(self, expr_text, limit, attempt=0):
+    async def search_async(self, expr_text, limit, attempt=0, lookup=True):
         """One *attempt* of an asynchronous search (the pump retries)."""
         key = ResultCache.key(self.engine.name, "search", expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+        if lookup:
+            cached = self._cache_get(key)
+            if cached is not None:
+                return cached
         await self._fault_gate_async(expr_text, attempt)
         # Result pages arrive sequentially even on the async path: page
         # k+1 cannot be requested before page k's response names it.
@@ -146,6 +152,23 @@ class SearchClient:
         result = self.engine.search(expr_text, limit)
         self._cache_put(key, result)
         return result
+
+    # -- cache probe (query thread, asynchronous mode) ---------------------
+
+    def cached_count(self, expr_text):
+        """The cached count for *expr_text*, or ``None`` on a miss.
+
+        The same read the request paths make (:meth:`_cache_get`: hit
+        and miss counters, trace events, negative-cache replay), for a
+        caller that resolves hits before handing a call to the pump.
+        """
+        return self._cache_get(ResultCache.key(self.engine.name, "count", expr_text))
+
+    def cached_search(self, expr_text, limit):
+        """The cached hits for *expr_text* (top *limit*), or ``None``."""
+        return self._cache_get(
+            ResultCache.key(self.engine.name, "search", expr_text, limit)
+        )
 
     def _pages_for(self, limit):
         return max(1, -(-limit // self.page_size))  # ceil, at least one page

@@ -78,11 +78,18 @@ class FetchService:
             self.cache.put(key, result)
         return result
 
-    async def fetch_async(self, url):
+    def cached(self, url):
+        """The cached fetch of *url*, or ``None`` on a miss."""
+        return self._cache_get(ResultCache.key("fetch", "fetch", url))
+
+    async def fetch_async(self, url, lookup=True):
+        """Fetch *url*; ``lookup=False`` skips the cache read (the caller
+        already probed with :meth:`cached` and missed)."""
         key = ResultCache.key("fetch", "fetch", url)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+        if lookup:
+            cached = self._cache_get(key)
+            if cached is not None:
+                return cached
         delay = self._delay(url)
         self.requests_sent += 1
         if delay > 0:

@@ -192,20 +192,22 @@ class ShardedSearchClient(SearchClient):
 
     # -- asynchronous scatter (request pump) ----------------------------------
 
-    async def count_async(self, expr_text, attempt=0):
+    async def count_async(self, expr_text, attempt=0, lookup=True):
         key = ResultCache.key(self.engine.name, "count", expr_text)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+        if lookup:
+            cached = self._cache_get(key)
+            if cached is not None:
+                return cached
         result = await self._scatter_async(expr_text, "count", None, attempt)
         self._cache_put(key, result)
         return result
 
-    async def search_async(self, expr_text, limit, attempt=0):
+    async def search_async(self, expr_text, limit, attempt=0, lookup=True):
         key = ResultCache.key(self.engine.name, "search", expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+        if lookup:
+            cached = self._cache_get(key)
+            if cached is not None:
+                return cached
         result = await self._scatter_async(expr_text, "search", limit, attempt)
         self._cache_put(key, result)
         return result

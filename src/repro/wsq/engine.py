@@ -700,7 +700,8 @@ class WsqEngine:
 
         Returns a :class:`~repro.wsq.profile.ProfileReport` carrying the
         query result, per-operator row/time counters, engine-level
-        deltas (requests sent, cache hits, dedup savings), the trace
+        deltas (requests sent, cache hits and how many of them resolved
+        inline at registration, dedup savings), the trace
         handle, and the per-external-request breakdown.  When the engine
         has no tracer of its own, a temporary one is attached to the
         pump for the duration of the run.
@@ -760,6 +761,9 @@ class WsqEngine:
                 deltas["cache_hit_ratio"] = round(
                     hits_moved / (hits_moved + misses_moved), 3
                 )
+            if context is not None:
+                # Hits resolved on the query thread, never reaching the pump.
+                deltas["inline_hits"] = context.inline_hits
         if context is not None:
             deltas["dedup_hits"] = context.dedup_hits
             deltas["calls_registered"] = context.calls_registered
